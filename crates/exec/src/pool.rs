@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -145,6 +145,37 @@ struct PoolShared {
     queue: Mutex<VecDeque<StaticTask>>,
     available: Condvar,
     shutdown: AtomicBool,
+    /// Non-empty batches submitted (each one notifies the workers); a
+    /// statistic the tests read to see that empty batches wake no one.
+    batches: AtomicUsize,
+}
+
+/// Start latch: `WorkerPool::new` waits here until every worker has run
+/// `init` (or panicked in it), so "the workers are up" is a contract.
+struct StartLatch {
+    pending: Mutex<usize>,
+    arrived: Condvar,
+    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+}
+
+impl StartLatch {
+    fn arrive(&self, panic: Option<Box<dyn std::any::Any + Send>>) {
+        if let Some(p) = panic {
+            self.panic.lock().unwrap().get_or_insert(p);
+        }
+        let mut pending = self.pending.lock().unwrap();
+        *pending -= 1;
+        if *pending == 0 {
+            self.arrived.notify_all();
+        }
+    }
+
+    fn wait(&self) {
+        let mut pending = self.pending.lock().unwrap();
+        while *pending > 0 {
+            pending = self.arrived.wait(pending).unwrap();
+        }
+    }
 }
 
 /// A named pool of persistent worker threads with one run queue.
@@ -158,31 +189,52 @@ impl WorkerPool {
     /// Spawns `threads` workers (at least one). `init` runs once on each
     /// worker before it starts pulling tasks — the exec backend uses it
     /// to switch the worker's kernels to the blocked implementations.
+    /// Returns only after every worker has finished `init`; a panic in
+    /// `init` shuts the pool down and is re-raised here.
     pub fn new(name: &str, threads: usize, init: impl Fn() + Send + Sync + 'static) -> WorkerPool {
+        let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            batches: AtomicUsize::new(0),
+        });
+        let latch = Arc::new(StartLatch {
+            pending: Mutex::new(threads),
+            arrived: Condvar::new(),
+            panic: Mutex::new(None),
         });
         let init = Arc::new(init);
-        let workers = (0..threads.max(1))
+        let workers = (0..threads)
             .map(|w| {
                 let shared = Arc::clone(&shared);
+                let latch = Arc::clone(&latch);
                 let init = Arc::clone(&init);
                 std::thread::Builder::new()
                     .name(format!("uexec-{name}-{w}"))
                     .spawn(move || {
-                        init();
-                        worker_loop(&shared);
+                        let failed = catch_unwind(AssertUnwindSafe(|| init())).err();
+                        let ok = failed.is_none();
+                        latch.arrive(failed);
+                        if ok {
+                            worker_loop(&shared);
+                        }
                     })
                     .expect("spawn pool worker")
             })
             .collect();
-        WorkerPool {
+        let pool = WorkerPool {
             name: name.to_string(),
             shared,
             workers,
+        };
+        latch.wait();
+        let panic = latch.panic.lock().unwrap().take();
+        if let Some(payload) = panic {
+            drop(pool);
+            resume_unwind(payload);
         }
+        pool
     }
 
     /// The pool's name.
@@ -206,7 +258,13 @@ impl WorkerPool {
 
     /// Enqueues a batch without waiting. Callers must `wait` on the batch
     /// before the tasks' borrows end — `run`/`run_pair` do exactly that.
+    /// An empty batch is already drained: nothing is queued and no
+    /// worker is woken.
     fn submit<'s>(&self, tasks: Vec<ScopedTask<'s>>, batch: &Arc<Batch>) {
+        if tasks.is_empty() {
+            return;
+        }
+        self.shared.batches.fetch_add(1, Ordering::Relaxed);
         let mut queue = self.shared.queue.lock().unwrap();
         for task in tasks {
             // SAFETY: every path that submits also blocks on
@@ -283,7 +341,8 @@ impl Engine {
 
     /// Runs a CPU batch and a GPU batch *concurrently* and blocks until
     /// both drained — one cooperative layer execution ending at its
-    /// barrier. Panics from either pool are re-raised here.
+    /// barrier. Panics from either pool are re-raised here. An empty
+    /// batch (an unsplit node leaves one pool idle) wakes no worker.
     pub fn run_pair<'s>(&self, cpu_tasks: Vec<ScopedTask<'s>>, gpu_tasks: Vec<ScopedTask<'s>>) {
         let cpu_batch = Batch::new(cpu_tasks.len());
         let gpu_batch = Batch::new(gpu_tasks.len());
@@ -384,8 +443,61 @@ mod tests {
         let pool = WorkerPool::new("t", 3, move || {
             i2.fetch_add(1, Ordering::SeqCst);
         });
-        // Drain a trivial batch so workers are definitely up.
+        // `new` returns only once every worker has run `init`.
+        assert_eq!(inits.load(Ordering::SeqCst), 3);
+        // Serving a batch runs no `init` again.
         pool.run(vec![Box::new(|| {})]);
         assert_eq!(inits.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
+    fn init_panic_propagates_from_new() {
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            WorkerPool::new("t", 2, || panic!("init exploded"));
+        }));
+        assert!(
+            caught.is_err(),
+            "an init panic must reach the caller of new"
+        );
+    }
+
+    #[test]
+    fn run_pair_skips_empty_batches_and_keeps_the_barrier() {
+        let engine = Engine::new(&ExecConfig::with_threads(2), || {});
+        let batches = |pool: &WorkerPool| pool.shared.batches.load(Ordering::Relaxed);
+        let done = AtomicUsize::new(0);
+        let tasks = |n: usize| -> Vec<ScopedTask<'_>> {
+            (0..n)
+                .map(|_| {
+                    Box::new(|| {
+                        std::thread::yield_now();
+                        done.fetch_add(1, Ordering::SeqCst);
+                    }) as ScopedTask<'_>
+                })
+                .collect()
+        };
+        // An unsplit node: only one side has work. The barrier still
+        // waits for all of it, and the idle pool sees no batch.
+        engine.run_pair(tasks(6), Vec::new());
+        assert_eq!(done.load(Ordering::SeqCst), 6);
+        assert_eq!(batches(engine.gpu()), 0);
+        engine.run_pair(Vec::new(), tasks(5));
+        assert_eq!(done.load(Ordering::SeqCst), 11);
+        assert_eq!(batches(engine.cpu()), 1);
+        assert_eq!(batches(engine.gpu()), 1);
+        engine.run_pair(Vec::new(), Vec::new());
+        assert_eq!(batches(engine.cpu()), 1);
+        // A panic on the busy side still reaches the submitter after its
+        // batch drained, with the other side empty.
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            let mut cpu = tasks(3);
+            cpu.push(Box::new(|| panic!("kernel exploded")));
+            engine.run_pair(cpu, Vec::new());
+        }));
+        assert!(caught.is_err(), "panic must reach the submitter");
+        assert_eq!(done.load(Ordering::SeqCst), 14);
+        // Both pools still work afterwards.
+        engine.run_pair(tasks(2), tasks(2));
+        assert_eq!(done.load(Ordering::SeqCst), 18);
     }
 }

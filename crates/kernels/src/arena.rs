@@ -51,8 +51,12 @@ pub struct ScratchArena {
     pub pack_a_i16: Vec<i16>,
     /// Packed zero-point-subtracted `B` panel (QUInt8 blocked GEMM).
     pub pack_b_i16: Vec<i16>,
-    /// `i32` accumulators (QUInt8 GEMM row / blocked tile).
+    /// `i32` accumulators (QUInt8 GEMM row / blocked tile / direct
+    /// depthwise output row).
     pub acc_i32: Vec<i32>,
+    /// Zero-padded, zero-point-subtracted input plane (QUInt8 direct
+    /// depthwise).
+    pub plane_i16: Vec<i16>,
 }
 
 impl ScratchArena {
@@ -75,6 +79,7 @@ impl ScratchArena {
             + self.pack_a_i16.capacity() * 2
             + self.pack_b_i16.capacity() * 2
             + self.acc_i32.capacity() * 4
+            + self.plane_i16.capacity() * 2
     }
 }
 

@@ -33,8 +33,10 @@
 //!
 //! The register-tile inner loops optionally dispatch to arch-gated SIMD
 //! implementations ([`crate::simd`], selected per thread via
-//! [`crate::dispatch::set_kernel_path`]). Those tiles are bit-identical
-//! to the scalar tiles here — same operations, same order — so the path
+//! [`crate::dispatch::set_kernel_path`]); for F16 the SIMD path also
+//! takes over the `A`-panel widening, the panel accumulation and the
+//! bias/ReLU epilogue, two tiles per call. All of it is bit-identical
+//! to the scalar loops here — same operations, same order — so the path
 //! choice never changes results, only speed.
 //!
 //! ## Opting in
@@ -191,6 +193,12 @@ pub fn gemm_f32_blocked(
 /// Blocked [`crate::gemm::gemm_f16`] writing into a caller-provided
 /// `m*n` buffer. Every MAC rounds to binary16 via a fused multiply-add,
 /// like the naive kernel.
+///
+/// On the SIMD path (F16C hosts) each packed `A` panel is widened to f32
+/// once, register tiles run two at a time (`MR × 2·NR` independent
+/// rounding chains), and the panel accumulation and the bias/ReLU
+/// epilogue run vectorized — every step the same IEEE operation in the
+/// same order as the scalar loops below, so both paths are bit-identical.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_f16_blocked(
     c: &mut [F16],
@@ -210,30 +218,53 @@ pub fn gemm_f16_blocked(
         assert_eq!(bias.len(), m, "gemm_f16_blocked: bias length");
     }
     c.iter_mut().for_each(|v| *v = F16::ZERO);
-    let simd = crate::dispatch::active_kernel_path() == crate::dispatch::KernelPath::Simd;
+    let simd = crate::dispatch::active_kernel_path() == crate::dispatch::KernelPath::Simd
+        && crate::simd::simd_f16_available();
     let (m_tiles, n_tiles) = (m.div_ceil(MR), n.div_ceil(NR));
     let mut p0 = 0;
     while p0 < k {
         let kc = KC.min(k - p0);
         pack_b(&mut arena.pack_b_f16, b, n, p0, kc, F16::ZERO);
         pack_a(&mut arena.pack_a_f16, a, m, k, p0, kc, F16::ZERO);
+        if simd {
+            // The f32 pack buffer is idle during an F16 GEMM: it holds
+            // the widened A panel, so no MAC re-widens an A value.
+            crate::simd::widen_f16(&mut arena.pack_a_f32, &arena.pack_a_f16);
+        }
         for it in 0..m_tiles {
             let i0 = it * MR;
             let iw = MR.min(m - i0);
+            if simd {
+                let pa_wide = &arena.pack_a_f32[it * kc * MR..(it + 1) * kc * MR];
+                let mut jt = 0;
+                while jt < n_tiles {
+                    let j0 = jt * NR;
+                    let block = &mut c[i0 * n + j0..];
+                    let pb = &arena.pack_b_f16[jt * kc * NR..];
+                    if jt + 1 < n_tiles {
+                        let jw = (2 * NR).min(n - j0);
+                        crate::simd::tiles_f16::<2>(block, n, iw, jw, pa_wide, pb, kc);
+                        jt += 2;
+                    } else {
+                        let jw = NR.min(n - j0);
+                        crate::simd::tiles_f16::<1>(block, n, iw, jw, pa_wide, pb, kc);
+                        jt += 1;
+                    }
+                }
+                continue;
+            }
             let pa_panel = &arena.pack_a_f16[it * kc * MR..(it + 1) * kc * MR];
             for jt in 0..n_tiles {
                 let j0 = jt * NR;
                 let jw = NR.min(n - j0);
                 let pb_panel = &arena.pack_b_f16[jt * kc * NR..(jt + 1) * kc * NR];
                 let mut acc = [[F16::ZERO; NR]; MR];
-                if !(simd && crate::simd::tile_f16(&mut acc, pa_panel, pb_panel, kc)) {
-                    for p in 0..kc {
-                        let avals = &pa_panel[p * MR..(p + 1) * MR];
-                        let bvals = &pb_panel[p * NR..(p + 1) * NR];
-                        for (r, &ar) in avals.iter().enumerate() {
-                            for (x, &bv) in bvals.iter().enumerate() {
-                                acc[r][x] = ar.mul_add(bv, acc[r][x]);
-                            }
+                for p in 0..kc {
+                    let avals = &pa_panel[p * MR..(p + 1) * MR];
+                    let bvals = &pb_panel[p * NR..(p + 1) * NR];
+                    for (r, &ar) in avals.iter().enumerate() {
+                        for (x, &bv) in bvals.iter().enumerate() {
+                            acc[r][x] = ar.mul_add(bv, acc[r][x]);
                         }
                     }
                 }
@@ -247,10 +278,16 @@ pub fn gemm_f16_blocked(
         }
         p0 += kc;
     }
+    if bias.is_none() && !relu {
+        return;
+    }
     for i in 0..m {
         let row = &mut c[i * n..(i + 1) * n];
-        if let Some(bias) = bias {
-            let hb = F16::from_f32(bias[i]);
+        let hb = bias.map(|b| F16::from_f32(b[i]));
+        if simd && crate::simd::bias_relu_f16(row, hb, relu) {
+            continue;
+        }
+        if let Some(hb) = hb {
             for cv in row.iter_mut() {
                 *cv += hb;
             }

@@ -7,7 +7,7 @@
 //! per-channel GEMM is a degenerate `1 × (kh·kw) × (oh·ow)`.
 //!
 //! This module computes the whole depthwise output in one pass over the
-//! input, with zero intermediate allocation. Each output pixel
+//! input, with no steady-state intermediate allocation. Each output pixel
 //! accumulates its `kh·kw` taps in exactly the order — and with exactly
 //! the zero-weight / zero-point short-circuits — of the corresponding
 //! naive GEMM over im2col patches:
@@ -17,8 +17,12 @@
 //! - **F16**: one [`F16::mul_add`] per tap, no skips, padded taps use
 //!   [`F16::ZERO`] — the same MAC sequence as [`crate::gemm::gemm_f16_into`].
 //! - **QUInt8**: exact `i32` accumulation of zero-point-subtracted
-//!   products; padded patch entries equal the input zero point, so their
-//!   contribution is exactly zero, like the explicit skip.
+//!   products, tap by tap into an `i32` output row, reading a
+//!   zero-padded `i16` copy of the plane (both buffers from the thread's
+//!   [`crate::ScratchArena`]; contiguous stride-1 and stride-2 inner
+//!   loops, no per-pixel padding test). Padded patch entries equal the
+//!   input zero point, so their zero contribution is unchanged, and
+//!   integer addition makes the tap order irrelevant.
 //!
 //! The result is **bit-identical** to the im2col path for every dtype
 //! (for floats: identical to the naive-GEMM dispatch; the blocked
@@ -159,6 +163,15 @@ fn dw_plane_f16(
     }
 }
 
+/// QUInt8 plane, tap by tap. The input plane is first copied
+/// zero-point-subtracted into a zero-padded `i16` plane (stride 2 stores
+/// each row as its even columns, then its odd columns, so both tap
+/// phases read contiguously). Then, for each output row, every tap
+/// `(ky, kx)` adds `w · x` across the whole row into an `i32` row
+/// accumulator, and the row is requantized. Both buffers come from the
+/// scratch arena. Padded entries are exactly zero, like the im2col
+/// path's zero-point patch entries; integer addition is exact and
+/// associative, so the tap order cannot change a bit.
 #[allow(clippy::too_many_arguments)]
 fn dw_plane_quint8(
     out: &mut [u8],
@@ -171,30 +184,121 @@ fn dw_plane_quint8(
     multiplier: &FixedPointMultiplier,
     out_zp: u8,
     relu: bool,
+    arena: &mut crate::ScratchArena,
 ) {
-    for oy in 0..g.oh {
-        for ox in 0..g.ow {
-            let mut acc = 0i32;
-            for ky in 0..g.kh {
-                let iy = g.iy(oy, ky);
-                for kx in 0..g.kw {
-                    let wv = f[ky * g.kw + kx] as i32 - f_zp;
-                    if wv == 0 {
-                        continue;
+    let s = g.stride;
+    let pw = g.w + 2 * g.pad;
+    // Stride 2 splits each padded row into halves of `half` columns.
+    let half = pw.div_ceil(2);
+    let row_len = if s == 2 { 2 * half } else { pw };
+    let plane = &mut arena.plane_i16;
+    plane.clear();
+    plane.resize((g.h + 2 * g.pad) * row_len, 0);
+    let sub_zp = |xv: &u8| (*xv as i32 - x_zp) as i16;
+    for (iy, x_row) in x.chunks_exact(g.w).enumerate() {
+        let dst = &mut plane[(iy + g.pad) * row_len..(iy + g.pad + 1) * row_len];
+        if s == 2 {
+            // Input column `ix` sits at padded column `ix + pad`: phase
+            // `(ix + pad) % 2`, index `(ix + pad) / 2` within its half.
+            let (p0, p1) = (g.pad % 2, (g.pad + 1) % 2);
+            let evens = &mut dst[p0 * half + g.pad / 2..];
+            for (d, xv) in evens.iter_mut().zip(x_row.iter().step_by(2)) {
+                *d = sub_zp(xv);
+            }
+            let odds = &mut dst[p1 * half + g.pad.div_ceil(2)..];
+            for (d, xv) in odds.iter_mut().zip(x_row.iter().skip(1).step_by(2)) {
+                *d = sub_zp(xv);
+            }
+        } else {
+            for (d, xv) in dst[g.pad..].iter_mut().zip(x_row) {
+                *d = sub_zp(xv);
+            }
+        }
+    }
+    let simd = crate::dispatch::active_kernel_path() == crate::dispatch::KernelPath::Simd;
+    let acc = &mut arena.acc_i32;
+    acc.clear();
+    acc.resize(g.ow, 0);
+    // Column of the padded row where tap `kx`'s run of outputs starts.
+    let start = |kx: usize| if s == 2 { (kx % 2) * half + kx / 2 } else { kx };
+    for (oy, out_row) in out.chunks_exact_mut(g.ow).enumerate() {
+        if g.kh == 3 && g.kw == 3 && s <= 2 {
+            // MobileNet's 3×3 windows: all nine taps in one pass, so the
+            // row accumulator is written once instead of nine times.
+            let run = |ky: usize, kx: usize| {
+                let at = (oy * s + ky) * row_len + start(kx);
+                &plane[at..at + g.ow]
+            };
+            let wt = |ky: usize, kx: usize| f[ky * 3 + kx] as i32 - f_zp;
+            let (t0, t1, t2) = (run(0, 0), run(0, 1), run(0, 2));
+            let (t3, t4, t5) = (run(1, 0), run(1, 1), run(1, 2));
+            let (t6, t7, t8) = (run(2, 0), run(2, 1), run(2, 2));
+            let (w0, w1, w2) = (wt(0, 0), wt(0, 1), wt(0, 2));
+            let (w3, w4, w5) = (wt(1, 0), wt(1, 1), wt(1, 2));
+            let (w6, w7, w8) = (wt(2, 0), wt(2, 1), wt(2, 2));
+            for (i, a) in acc.iter_mut().enumerate() {
+                *a = w0 * t0[i] as i32
+                    + w1 * t1[i] as i32
+                    + w2 * t2[i] as i32
+                    + w3 * t3[i] as i32
+                    + w4 * t4[i] as i32
+                    + w5 * t5[i] as i32
+                    + w6 * t6[i] as i32
+                    + w7 * t7[i] as i32
+                    + w8 * t8[i] as i32;
+            }
+            requantize_row(out_row, acc, qbias, multiplier, out_zp, relu, simd);
+            continue;
+        }
+        acc.iter_mut().for_each(|a| *a = 0);
+        for ky in 0..g.kh {
+            let row = &plane[(oy * s + ky) * row_len..(oy * s + ky + 1) * row_len];
+            for kx in 0..g.kw {
+                let wv = f[ky * g.kw + kx] as i32 - f_zp;
+                if wv == 0 {
+                    continue;
+                }
+                match s {
+                    1 | 2 => {
+                        let xs = &row[start(kx)..start(kx) + g.ow];
+                        for (a, &xv) in acc.iter_mut().zip(xs) {
+                            *a += wv * xv as i32;
+                        }
                     }
-                    let xv = match (iy, g.ix(ox, kx)) {
-                        (Some(iy), Some(ix)) => x[iy * g.w + ix] as i32 - x_zp,
-                        _ => 0,
-                    };
-                    acc += wv * xv;
+                    _ => {
+                        for (a, &xv) in acc.iter_mut().zip(row[kx..].iter().step_by(s)) {
+                            *a += wv * xv as i32;
+                        }
+                    }
                 }
             }
-            let mut q = requantize(acc + qbias, multiplier, out_zp);
-            if relu && q < out_zp {
-                q = out_zp;
-            }
-            out[oy * g.ow + ox] = q;
         }
+        requantize_row(out_row, acc, qbias, multiplier, out_zp, relu, simd);
+    }
+}
+
+/// Requantizes one `i32` accumulator row (plus the quantized bias) to
+/// `u8`, clamping at the output zero point under ReLU. With `simd`
+/// (the SIMD kernel path) the row goes through the exact AVX2
+/// requantizer where the host has one.
+fn requantize_row(
+    out: &mut [u8],
+    acc: &[i32],
+    qbias: i32,
+    multiplier: &FixedPointMultiplier,
+    out_zp: u8,
+    relu: bool,
+    simd: bool,
+) {
+    if simd && crate::simd::requantize_row(out, acc, qbias, multiplier, out_zp, relu) {
+        return;
+    }
+    for (o, &a) in out.iter_mut().zip(acc) {
+        let mut q = requantize(a + qbias, multiplier, out_zp);
+        if relu && q < out_zp {
+            q = out_zp;
+        }
+        *o = q;
     }
 }
 
@@ -295,6 +399,7 @@ pub fn depthwise_conv2d_direct(
             }
             let multiplier = FixedPointMultiplier::from_real(acc_scale / out_params.scale as f64)?;
             let mut out = vec![0u8; out_shape.numel()];
+            let mut arena = crate::arena::take_thread_arena();
             for b in 0..n {
                 for ci in 0..c {
                     let xp = &x[(b * c + ci) * in_plane..(b * c + ci + 1) * in_plane];
@@ -312,9 +417,11 @@ pub fn depthwise_conv2d_direct(
                         &multiplier,
                         out_params.zero_point,
                         params.relu,
+                        &mut arena,
                     );
                 }
             }
+            crate::arena::restore_thread_arena(arena);
             Tensor::from_quantized(out_shape, out, out_params)
         }
     }

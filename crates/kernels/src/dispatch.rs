@@ -157,8 +157,12 @@ pub fn registered_fast_paths() -> Vec<&'static str> {
         paths.push("gemm/f32/blocked-simd");
         paths.push("gemm/quint8/blocked-simd");
     }
+    if simd::simd_available() {
+        paths.push("depthwise/quint8/direct-simd");
+    }
     if simd::simd_f16_available() {
         paths.push("gemm/f16/blocked-simd");
+        paths.push("gemm/f16/blocked-simd-x2");
     }
     paths
 }

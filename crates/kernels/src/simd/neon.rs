@@ -8,7 +8,7 @@
 //! The F16 tile has **no** NEON implementation: reproducing the software
 //! `F16::mul_add` contract (f32 FMA, then round-to-nearest-even
 //! narrowing per MAC) needs FEAT_FP16 conversion sequences that this
-//! repository cannot compile-test; `super::tile_f16` reports
+//! repository cannot compile-test; `super::tiles_f16` reports
 //! "unhandled" on aarch64 and the scalar tile runs instead.
 
 use core::arch::aarch64::*;

@@ -47,11 +47,13 @@ const COVERED: &[&str] = &[
     "gemm/f32/blocked-simd",
     "gemm/f16/blocked-scalar",
     "gemm/f16/blocked-simd",
+    "gemm/f16/blocked-simd-x2",
     "gemm/quint8/blocked-scalar",
     "gemm/quint8/blocked-simd",
     "depthwise/f32/direct",
     "depthwise/f16/direct",
     "depthwise/quint8/direct",
+    "depthwise/quint8/direct-simd",
     "pointwise/f32/direct",
     "pointwise/f16/direct",
     "pointwise/quint8/direct",
@@ -101,12 +103,18 @@ fn conv_paths() -> Vec<PathChoice> {
 }
 
 /// GEMM shape ladder: in-panel shapes (bit-equal contract) plus one
-/// multi-panel `K % KC != 0` shape (tolerance contract for floats).
-const GEMM_SHAPES: [(usize, usize, usize); 5] = [
+/// multi-panel `K % KC != 0` shape (tolerance contract for floats). The
+/// in-panel shapes with `n >= 2·NR` reach the two-tile F16 block, with
+/// ragged `m` (not a multiple of `MR`) and ragged `n` (a one-tile or
+/// partial-tile remainder).
+const GEMM_SHAPES: [(usize, usize, usize); 8] = [
     (1, 1, 1),
     (3, 7, 5),
     (4, 8, 8),
     (5, 255, 9),
+    (9, 200, 37),
+    (4, 32, 16),
+    (6, 256, 49),
     (13, KC + 7, 21),
 ];
 
@@ -177,6 +185,71 @@ fn gemm_cell_f16(path: PathChoice, tc: usize) {
     }
 }
 
+/// F16 operands that stress the rounding contract: ±0, the smallest
+/// subnormals of both signs, ±inf, the largest finite values, and
+/// ordinary values in between.
+fn f16_specials(n: usize, seed: usize) -> Vec<F16> {
+    let specials = [
+        F16::ZERO,
+        F16::from_bits(0x8000),
+        F16::MIN_POSITIVE_SUBNORMAL,
+        F16::from_bits(0x8001),
+        F16::from_bits(0x03FF),
+        F16::INFINITY,
+        F16::NEG_INFINITY,
+        F16::MAX,
+        F16::MIN,
+        F16::MIN_POSITIVE,
+    ];
+    pseudo_f32(n, seed)
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| {
+            // About one operand in five is special, at seeded positions.
+            let pick = (i + seed) * 2654435761 % 50;
+            if pick < specials.len() {
+                specials[pick]
+            } else {
+                F16::from_f32(v)
+            }
+        })
+        .collect()
+}
+
+/// The two-tile SIMD F16 block (with its widened `A` panel and SIMD
+/// panel-sum/bias/ReLU epilogue) against the scalar blocked kernel, bit
+/// for bit, on operands that include ±0, subnormals and ±inf — with and
+/// without bias and ReLU, in-panel and multi-panel. Both kernels use
+/// the same association, so equality holds for every `k`; the NaNs
+/// that `inf · 0` and `inf − inf` produce are the same default NaN on
+/// both paths.
+fn gemm_cell_f16_specials(tc: usize) {
+    let bits = |v: &[F16]| v.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
+    for (case, &(m, k, n)) in GEMM_SHAPES.iter().enumerate() {
+        let a = f16_specials(m * k, case);
+        let b = f16_specials(k * n, case + 3);
+        let bias = pseudo_f32(m, case + 5);
+        for (with_bias, relu) in [(false, false), (true, false), (false, true), (true, true)] {
+            let bias = with_bias.then_some(bias.as_slice());
+            let run = |path: PathChoice| {
+                on_threads(tc, path, false, || {
+                    let mut got = vec![F16::ZERO; m * n];
+                    let mut arena = ScratchArena::new();
+                    gemm_f16_blocked(&mut got, m, k, n, &a, &b, bias, relu, &mut arena);
+                    bits(&got)
+                })
+            };
+            let want = run(PathChoice::Scalar).swap_remove(0);
+            for got in run(PathChoice::Simd) {
+                assert!(
+                    got == want,
+                    "f16 specials tc={tc} m={m} k={k} n={n} bias={with_bias} relu={relu}"
+                );
+            }
+        }
+    }
+}
+
 fn gemm_cell_quint8(path: PathChoice, tc: usize) {
     for (case, &(m, k, n)) in GEMM_SHAPES.iter().enumerate() {
         let relu = case % 2 == 0;
@@ -214,16 +287,27 @@ fn gemm_cell_quint8(path: PathChoice, tc: usize) {
 }
 
 /// Depthwise shape ladder: (c, h, w, k, stride, pad) hitting odd and
-/// single channels, stride 2, padding, and 1×1 windows.
-const DW_SHAPES: [(usize, usize, usize, usize, usize, usize); 5] = [
+/// single channels, stride 2, padding, and 1×1 windows, plus
+/// MobileNet-like 3×3 planes (w ≥ 16, pad 1; stride 2 on even and odd
+/// widths) and a stride-3 window.
+const DW_SHAPES: [(usize, usize, usize, usize, usize, usize); 10] = [
     (3, 6, 6, 3, 1, 1),
     (1, 5, 7, 3, 2, 0),
     (5, 9, 9, 5, 2, 2),
     (4, 4, 4, 1, 1, 0),
     (7, 8, 5, 3, 2, 1),
+    (6, 16, 16, 3, 1, 1),
+    (4, 18, 21, 3, 1, 1),
+    (5, 16, 16, 3, 2, 1),
+    (3, 17, 19, 3, 2, 1),
+    (2, 13, 17, 3, 3, 1),
 ];
 
 fn depthwise_cell(dtype: DType, tc: usize) {
+    depthwise_cell_on(dtype, tc, &conv_paths());
+}
+
+fn depthwise_cell_on(dtype: DType, tc: usize, paths: &[PathChoice]) {
     for (case, &(c, h, w, k, stride, pad)) in DW_SHAPES.iter().enumerate() {
         let relu = case % 2 == 0;
         let qp = QuantParams::from_range(-1.0, 1.0).unwrap();
@@ -246,7 +330,7 @@ fn depthwise_cell(dtype: DType, tc: usize) {
         // Golden: the per-channel im2col path with naive scalar GEMM
         // (this thread's defaults: blocked off, direct off).
         let want = depthwise_conv2d(&input, &filters, Some(&bias), &p, out_p).unwrap();
-        for path in conv_paths() {
+        for &path in paths {
             for got in on_threads(tc, path, true, || {
                 depthwise_conv2d(&input, &filters, Some(&bias), &p, out_p).unwrap()
             }) {
@@ -310,11 +394,13 @@ fn run_cell(key: &str, tc: usize) {
         "gemm/f32/blocked-simd" => gemm_cell_f32(PathChoice::Simd, tc),
         "gemm/f16/blocked-scalar" => gemm_cell_f16(PathChoice::Scalar, tc),
         "gemm/f16/blocked-simd" => gemm_cell_f16(PathChoice::Simd, tc),
+        "gemm/f16/blocked-simd-x2" => gemm_cell_f16_specials(tc),
         "gemm/quint8/blocked-scalar" => gemm_cell_quint8(PathChoice::Scalar, tc),
         "gemm/quint8/blocked-simd" => gemm_cell_quint8(PathChoice::Simd, tc),
         "depthwise/f32/direct" => depthwise_cell(DType::F32, tc),
         "depthwise/f16/direct" => depthwise_cell(DType::F16, tc),
         "depthwise/quint8/direct" => depthwise_cell(DType::QUInt8, tc),
+        "depthwise/quint8/direct-simd" => depthwise_cell_on(DType::QUInt8, tc, &[PathChoice::Simd]),
         "pointwise/f32/direct" => pointwise_cell(DType::F32, tc),
         "pointwise/f16/direct" => pointwise_cell(DType::F16, tc),
         "pointwise/quint8/direct" => pointwise_cell(DType::QUInt8, tc),
@@ -354,6 +440,10 @@ fn f16_simd_registration_matches_detection() {
     let paths = registered_fast_paths();
     assert_eq!(
         paths.contains(&"gemm/f16/blocked-simd"),
+        simd_f16_available()
+    );
+    assert_eq!(
+        paths.contains(&"gemm/f16/blocked-simd-x2"),
         simd_f16_available()
     );
     assert_eq!(paths.contains(&"gemm/f32/blocked-simd"), simd_available());

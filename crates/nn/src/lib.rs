@@ -35,4 +35,4 @@ pub use passes::{
     PassReport, PassRunner,
 };
 pub use viz::to_dot;
-pub use weights::{Calibration, LayerWeights, Weights};
+pub use weights::{Calibration, LayerWeights, MemoisedPart, Weights};

@@ -12,8 +12,13 @@
 //! is already applied to the network (§6); calibration is how this
 //! reproduction applies it.
 
+use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+
 use testkit::Rng;
-use utensor::{QuantParams, Tensor, TensorError};
+use utensor::{DType, QuantParams, Tensor, TensorError};
 
 use crate::graph::{Graph, NodeId};
 
@@ -28,9 +33,48 @@ pub struct LayerWeights {
 }
 
 /// All weights of a graph, indexed by node.
+///
+/// Besides the f32 master copies, `Weights` memoises the cast filter
+/// slices the executors compute with ([`Weights::part_filter`]): each
+/// (node, compute dtype, weight params, row range) is sliced and cast
+/// once, like a deployed model whose weights are stored already
+/// quantized. [`Weights::of_mut`] drops that node's memo entries, so a
+/// mutated master is never served stale.
 #[derive(Clone, Debug)]
 pub struct Weights {
     per_node: Vec<LayerWeights>,
+    memo: FilterMemo,
+}
+
+/// No memo operation can panic while holding the lock, so a poisoned
+/// lock means a bug elsewhere in this module.
+const POISONED: &str = "filter memo lock poisoned";
+
+/// Memo key: node, compute dtype, weight params (scale bits and zero
+/// point) and the filter row range.
+type PartKey = (usize, DType, Option<(u32, u8)>, usize, usize);
+
+/// The cast-filter memo behind [`Weights::part_filter`]. A clone starts
+/// empty, and `Debug` shows counts, never tensor bytes.
+#[derive(Default)]
+struct FilterMemo {
+    parts: Mutex<BTreeMap<PartKey, Arc<Tensor>>>,
+    casts: AtomicUsize,
+}
+
+impl Clone for FilterMemo {
+    fn clone(&self) -> FilterMemo {
+        FilterMemo::default()
+    }
+}
+
+impl fmt::Debug for FilterMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FilterMemo")
+            .field("entries", &self.parts.lock().expect(POISONED).len())
+            .field("casts", &self.casts.load(Ordering::Relaxed))
+            .finish()
+    }
 }
 
 impl Weights {
@@ -60,7 +104,7 @@ impl Weights {
                 per_node.push(LayerWeights::default());
             }
         }
-        Ok(Weights { per_node })
+        Ok(Weights::from_per_node(per_node))
     }
 
     /// The weights of a node.
@@ -73,9 +117,74 @@ impl Weights {
         &self.per_node[id.0]
     }
 
-    /// Mutable access, for training (quantlab) and tests.
+    /// Mutable access, for training (quantlab) and tests. Drops the
+    /// node's memoised filter casts, since the caller may change them.
     pub fn of_mut(&mut self, id: NodeId) -> &mut LayerWeights {
+        self.memo
+            .parts
+            .get_mut()
+            .expect(POISONED)
+            .retain(|key, _| key.0 != id.0);
         &mut self.per_node[id.0]
+    }
+
+    /// Rows `lo..hi` (axis 0) of the node's filter cast to `dtype` under
+    /// `params` — `slice_axis(0, lo, hi)` then `cast(dtype, params)` —
+    /// memoised, so each distinct part is sliced and cast once. `None`
+    /// when the node has no filter. Safe to call from many threads; a
+    /// race on a cold key may cast twice, and one result is kept.
+    pub fn part_filter(
+        &self,
+        id: NodeId,
+        dtype: DType,
+        params: Option<QuantParams>,
+        (lo, hi): (usize, usize),
+    ) -> Result<Option<Arc<Tensor>>, TensorError> {
+        let Some(master) = self.of(id).filter.as_ref() else {
+            return Ok(None);
+        };
+        let key = (
+            id.0,
+            dtype,
+            params.map(|p| (p.scale.to_bits(), p.zero_point)),
+            lo,
+            hi,
+        );
+        if let Some(hit) = self.memo.parts.lock().expect(POISONED).get(&key) {
+            return Ok(Some(Arc::clone(hit)));
+        }
+        let cast = if (lo, hi) == (0, master.shape().dim(0)) {
+            master.cast(dtype, params)?
+        } else {
+            master.slice_axis(0, lo, hi)?.cast(dtype, params)?
+        };
+        self.memo.casts.fetch_add(1, Ordering::Relaxed);
+        let mut parts = self.memo.parts.lock().expect(POISONED);
+        Ok(Some(Arc::clone(parts.entry(key).or_insert(Arc::new(cast)))))
+    }
+
+    /// Filter casts [`Weights::part_filter`] has performed so far (memo
+    /// misses). Steady-state inference adds none.
+    pub fn filter_casts(&self) -> usize {
+        self.memo.casts.load(Ordering::Relaxed)
+    }
+
+    /// Every memoised part filter, in key order.
+    pub fn memoised_parts(&self) -> Vec<MemoisedPart> {
+        let parts = self.memo.parts.lock().expect(POISONED);
+        parts
+            .iter()
+            .map(|(&(node, dtype, params, lo, hi), filter)| MemoisedPart {
+                node: NodeId(node),
+                dtype,
+                params: params.map(|(scale, zero_point)| QuantParams {
+                    scale: f32::from_bits(scale),
+                    zero_point,
+                }),
+                rows: (lo, hi),
+                filter: Arc::clone(filter),
+            })
+            .collect()
     }
 
     /// Number of node entries.
@@ -91,7 +200,10 @@ impl Weights {
     /// Assembles weights from per-node entries (rewrite passes and
     /// tests; entry `i` belongs to node `i`).
     pub fn from_per_node(per_node: Vec<LayerWeights>) -> Weights {
-        Weights { per_node }
+        Weights {
+            per_node,
+            memo: FilterMemo::default(),
+        }
     }
 
     /// Decomposes into per-node entries for a rewrite pass.
@@ -109,6 +221,21 @@ impl Weights {
             })
             .sum()
     }
+}
+
+/// One entry of the cast-filter memo ([`Weights::memoised_parts`]).
+#[derive(Clone, Debug)]
+pub struct MemoisedPart {
+    /// The node the filter belongs to.
+    pub node: NodeId,
+    /// The dtype it was cast to.
+    pub dtype: DType,
+    /// The weight params of the cast.
+    pub params: Option<QuantParams>,
+    /// The filter rows (axis 0) it holds.
+    pub rows: (usize, usize),
+    /// The sliced and cast filter.
+    pub filter: Arc<Tensor>,
 }
 
 /// Per-graph quantization information: the §4.2 "pre-trained quantization

@@ -121,18 +121,16 @@ pub fn run_variants(model: &TrainedModel) -> Vec<AccuracyRow> {
 /// on each — the complete Figure 10 substitute, one row block per
 /// "network".
 pub fn run_figure10() -> Vec<(String, Vec<AccuracyRow>)> {
-    use crate::dataset::{generate, DatasetConfig};
-    use crate::train::{train, TrainConfig};
-
-    let ds = generate(&DatasetConfig::default());
-    let shallow = train(ds.clone(), &TrainConfig::default());
-    let deep = train(ds, &TrainConfig::deep());
+    let models = crate::train::figure10_models();
     vec![
         (
             "cnn-shallow (1 hidden FC)".to_string(),
-            run_variants(&shallow),
+            run_variants(&models.shallow),
         ),
-        ("cnn-deep (2 hidden FC)".to_string(), run_variants(&deep)),
+        (
+            "cnn-deep (2 hidden FC)".to_string(),
+            run_variants(&models.deep),
+        ),
     ]
 }
 
@@ -140,16 +138,11 @@ pub fn run_figure10() -> Vec<(String, Vec<AccuracyRow>)> {
 mod tests {
     use super::*;
     use crate::dataset::{generate, DatasetConfig};
-    use crate::train::{train, TrainConfig};
-
-    fn model() -> TrainedModel {
-        train(generate(&DatasetConfig::default()), &TrainConfig::default())
-    }
+    use crate::train::{figure10_models, train, TrainConfig};
 
     #[test]
     fn figure10_shape_holds() {
-        let m = model();
-        let rows = run_variants(&m);
+        let rows = run_variants(&figure10_models().shallow);
         assert_eq!(rows.len(), 4);
         let by = |name: &str| rows.iter().find(|r| r.variant == name).unwrap().accuracy;
         let f32_acc = by("F32");
@@ -184,10 +177,9 @@ mod tests {
         // Figure 10's spread: deeper networks (more requantization
         // steps) lose more from naive ranges — Inception-v4 lost 50.7 %p
         // in the paper while shallow nets lost little.
-        let shallow = model();
-        let deep = train(generate(&DatasetConfig::default()), &TrainConfig::deep());
-        let s_rows = run_variants(&shallow);
-        let d_rows = run_variants(&deep);
+        let models = figure10_models();
+        let s_rows = run_variants(&models.shallow);
+        let d_rows = run_variants(&models.deep);
         let drop =
             |rows: &[AccuracyRow]| rows.iter().find(|r| r.variant == "QUInt8").unwrap().drop_pp;
         assert!(

@@ -22,4 +22,6 @@ pub mod train;
 
 pub use dataset::{generate, Dataset, DatasetConfig, Sample};
 pub use experiment::{accuracy, naive_calibration, run_figure10, run_variants, AccuracyRow};
-pub use train::{classifier_graph, train, TrainConfig, TrainedModel};
+pub use train::{
+    classifier_graph, figure10_models, train, Figure10Models, TrainConfig, TrainedModel,
+};

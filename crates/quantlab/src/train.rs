@@ -9,12 +9,14 @@
 //! compound quantization error across more quantize/requantize steps,
 //! reproducing Figure 10's spread across network depths.
 
+use std::sync::OnceLock;
+
 use testkit::Rng;
 use utensor::{Shape, Tensor};
 
 use unn::{Graph, LayerKind, NodeId, Weights};
 
-use crate::dataset::{Dataset, Sample};
+use crate::dataset::{generate, Dataset, DatasetConfig, Sample};
 
 /// A trained classifier: graph + weights + the data it was trained on.
 pub struct TrainedModel {
@@ -136,14 +138,44 @@ impl Dense {
     }
 
     fn forward(&self, x: &[f32]) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.out];
-        for (i, yv) in y.iter_mut().enumerate() {
-            let mut acc = self.b[i];
-            let row = &self.w[i * self.inp..(i + 1) * self.inp];
-            for (wv, xv) in row.iter().zip(x) {
-                acc += wv * xv;
+        assert_eq!(x.len(), self.inp, "layer input width");
+        // Each output starts at its bias and adds its products in input
+        // order. Rows go in blocks of eight so eight independent sums
+        // are in flight; no row's operation order changes.
+        let mut y = self.b.clone();
+        for (ys, rows) in y.chunks_mut(8).zip(self.w.chunks(8 * self.inp)) {
+            let mut acc = [0.0f32; 8];
+            acc[..ys.len()].copy_from_slice(ys);
+            let rows: Vec<&[f32]> = rows.chunks_exact(self.inp).collect();
+            if let [r0, r1, r2, r3, r4, r5, r6, r7] = rows[..] {
+                // Equal-length slices let the compiler drop the bounds
+                // checks on `r*[j]`.
+                let n = x.len();
+                let (r0, r1, r2, r3) = (&r0[..n], &r1[..n], &r2[..n], &r3[..n]);
+                let (r4, r5, r6, r7) = (&r4[..n], &r5[..n], &r6[..n], &r7[..n]);
+                for (j, &xv) in x.iter().enumerate() {
+                    acc[0] += r0[j] * xv;
+                    acc[1] += r1[j] * xv;
+                    acc[2] += r2[j] * xv;
+                    acc[3] += r3[j] * xv;
+                    acc[4] += r4[j] * xv;
+                    acc[5] += r5[j] * xv;
+                    acc[6] += r6[j] * xv;
+                    acc[7] += r7[j] * xv;
+                }
+            } else {
+                for (a, row) in acc.iter_mut().zip(&rows) {
+                    for (wv, xv) in row.iter().zip(x) {
+                        *a += wv * xv;
+                    }
+                }
             }
-            *yv = if self.relu { acc.max(0.0) } else { acc };
+            ys.copy_from_slice(&acc[..ys.len()]);
+        }
+        if self.relu {
+            for yv in y.iter_mut() {
+                *yv = yv.max(0.0);
+            }
         }
         y
     }
@@ -158,12 +190,15 @@ impl Dense {
                 }
             }
         }
+        assert_eq!(x.len(), self.inp, "layer input width");
         let mut dx = vec![0.0f32; self.inp];
         for (i, &d) in dy.iter().enumerate() {
             let row = &mut self.w[i * self.inp..(i + 1) * self.inp];
-            for (j, rv) in row.iter_mut().enumerate() {
-                dx[j] += *rv * d;
-                *rv -= lr * d * x[j];
+            // Every `j` is independent, so the zipped loop vectorizes
+            // without reordering any element's operations.
+            for ((rv, dxv), &xv) in row.iter_mut().zip(dx.iter_mut()).zip(x) {
+                *dxv += *rv * d;
+                *rv -= lr * d * xv;
             }
             self.b[i] -= lr * d;
         }
@@ -260,15 +295,41 @@ pub fn train(dataset: Dataset, cfg: &TrainConfig) -> TrainedModel {
     }
 }
 
+/// The two Figure 10 models — the default dataset trained with
+/// [`TrainConfig::default`] (shallow) and [`TrainConfig::deep`] — trained
+/// once per process and shared. Training is deterministic, so every
+/// caller sees exactly the models a fresh [`train`] call would return.
+pub fn figure10_models() -> &'static Figure10Models {
+    static MODELS: OnceLock<Figure10Models> = OnceLock::new();
+    MODELS.get_or_init(|| {
+        let ds = generate(&DatasetConfig::default());
+        // The two trainings are independent: run them side by side.
+        std::thread::scope(|s| {
+            let shallow = s.spawn(|| train(ds.clone(), &TrainConfig::default()));
+            let deep = train(ds.clone(), &TrainConfig::deep());
+            Figure10Models {
+                shallow: shallow.join().expect("shallow training"),
+                deep,
+            }
+        })
+    })
+}
+
+/// The shallow and deep Figure 10 models (see [`figure10_models`]).
+pub struct Figure10Models {
+    /// One hidden FC layer.
+    pub shallow: TrainedModel,
+    /// Two hidden FC layers.
+    pub deep: TrainedModel,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{generate, DatasetConfig};
 
     #[test]
     fn training_reaches_high_accuracy() {
-        let ds = generate(&DatasetConfig::default());
-        let model = train(ds, &TrainConfig::default());
+        let model = &figure10_models().shallow;
         assert!(
             model.train_accuracy > 0.9,
             "train accuracy = {}",
@@ -278,8 +339,7 @@ mod tests {
 
     #[test]
     fn deep_head_also_trains() {
-        let ds = generate(&DatasetConfig::default());
-        let model = train(ds, &TrainConfig::deep());
+        let model = &figure10_models().deep;
         assert!(
             model.train_accuracy > 0.85,
             "deep train accuracy = {}",

@@ -11,6 +11,7 @@
 //! output.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use usoc::DtypePlan;
 use utensor::{DType, QuantParams, Tensor, TensorError};
@@ -95,10 +96,9 @@ pub struct PartTask<'a> {
     pub name: &'a str,
     /// Stored inputs, in the plan's storage dtype.
     pub inputs: Vec<&'a Tensor>,
-    /// The node's full (unsliced, uncast) filter, if any.
-    pub filter: Option<&'a Tensor>,
-    /// The node's full bias, if any.
-    pub bias: Option<&'a [f32]>,
+    /// The graph's weights: this node's master filter and bias, and the
+    /// memo of its cast filter parts.
+    pub weights: &'a Weights,
     /// Quantization parameters for casting the filter.
     pub weight_params: Option<QuantParams>,
     /// The node's calibrated activation parameters.
@@ -108,6 +108,56 @@ pub struct PartTask<'a> {
     /// `Some((axis, lo, hi))` for a split part owning channels
     /// `lo..hi`; `None` for a whole-layer task.
     pub split: Option<(SplitAxis, usize, usize)>,
+}
+
+impl<'a> PartTask<'a> {
+    /// The node's full (unsliced, uncast) filter, if any.
+    pub fn filter(&self) -> Option<&'a Tensor> {
+        self.weights.of(self.node).filter.as_ref()
+    }
+
+    /// The node's full bias, if any.
+    pub fn bias(&self) -> Option<&'a [f32]> {
+        self.weights.of(self.node).bias.as_deref()
+    }
+}
+
+/// The filter a part computes with: the master itself when the part is
+/// the whole layer and needs no cast, else the memoised slice-and-cast
+/// ([`Weights::part_filter`]), so the steady state never copies a filter.
+enum PartFilter<'a> {
+    Master(&'a Tensor),
+    Memo(Arc<Tensor>),
+}
+
+impl PartFilter<'_> {
+    fn get(&self) -> &Tensor {
+        match self {
+            PartFilter::Master(f) => f,
+            PartFilter::Memo(f) => f,
+        }
+    }
+}
+
+fn part_filter<'a>(
+    t: &PartTask<'a>,
+    range: Option<(usize, usize)>,
+) -> Result<Option<PartFilter<'a>>, TensorError> {
+    let Some(master) = t.filter() else {
+        return Ok(None);
+    };
+    let compute = t.dtypes.compute;
+    let rows = match range {
+        None if master.dtype() == compute && compute != DType::QUInt8 => {
+            return Ok(Some(PartFilter::Master(master)));
+        }
+        None => (0, master.shape().dim(0)),
+        Some(r) => r,
+    };
+    let cast = t
+        .weights
+        .part_filter(t.node, compute, t.weight_params, rows)?;
+    Ok(cast.map(PartFilter::Memo))
 }
 
 /// Executes one [`PartTask`], returning the raw output in the part's
@@ -125,33 +175,23 @@ pub fn eval_part_task(t: &PartTask<'_>) -> Result<Tensor, TensorError> {
     let x = t.inputs[0];
     match t.split {
         None => {
-            let filter = t
-                .filter
-                .map(|f| f.cast(t.dtypes.compute, t.weight_params))
-                .transpose()?;
-            compute_part(t.kind, x, filter.as_ref(), t.bias, t.dtypes, t.act)
+            let filter = part_filter(t, None)?;
+            let filter = filter.as_ref().map(PartFilter::get);
+            compute_part(t.kind, x, filter, t.bias(), t.dtypes, t.act)
         }
         Some((SplitAxis::Filters, lo, hi)) => {
-            let f = t.filter.ok_or_else(|| {
+            let f_part = part_filter(t, Some((lo, hi)))?.ok_or_else(|| {
                 TensorError::BadConcat(format!("{} has no filter to split", t.name))
             })?;
-            let f_part = f
-                .slice_axis(0, lo, hi)?
-                .cast(t.dtypes.compute, t.weight_params)?;
-            let b_part = t.bias.map(|b| &b[lo..hi]);
-            compute_part(t.kind, x, Some(&f_part), b_part, t.dtypes, t.act)
+            let b_part = t.bias().map(|b| &b[lo..hi]);
+            compute_part(t.kind, x, Some(f_part.get()), b_part, t.dtypes, t.act)
         }
         Some((SplitAxis::InputChannels, lo, hi)) => {
             let x_part = x.slice_axis(1, lo, hi)?;
-            let f_part = t
-                .filter
-                .map(|f| {
-                    f.slice_axis(0, lo, hi)
-                        .and_then(|f| f.cast(t.dtypes.compute, t.weight_params))
-                })
-                .transpose()?;
-            let b_part = t.bias.map(|b| &b[lo..hi]);
-            compute_part(t.kind, &x_part, f_part.as_ref(), b_part, t.dtypes, t.act)
+            let f_part = part_filter(t, Some((lo, hi)))?;
+            let b_part = t.bias().map(|b| &b[lo..hi]);
+            let f_part = f_part.as_ref().map(PartFilter::get);
+            compute_part(t.kind, &x_part, f_part, b_part, t.dtypes, t.act)
         }
     }
 }
@@ -168,8 +208,7 @@ fn node_tasks<'a>(
     name: &'a str,
     placement: &NodePlacement,
     inputs: Vec<&'a Tensor>,
-    filter: Option<&'a Tensor>,
-    bias: Option<&'a [f32]>,
+    weights: &'a Weights,
     weight_params: Option<QuantParams>,
     act: QuantParams,
 ) -> Result<Vec<PartTask<'a>>, TensorError> {
@@ -181,8 +220,7 @@ fn node_tasks<'a>(
             kind,
             name,
             inputs,
-            filter,
-            bias,
+            weights,
             weight_params,
             act,
             dtypes: *dtypes,
@@ -195,7 +233,11 @@ fn node_tasks<'a>(
             let x = inputs[0];
             let channels =
                 usoc::split_channel_count(kind, x.shape()).unwrap_or_else(|| match axis {
-                    SplitAxis::Filters => filter.map(|f| f.shape().dim(0)).unwrap_or(0),
+                    SplitAxis::Filters => weights
+                        .of(id)
+                        .filter
+                        .as_ref()
+                        .map_or(0, |f| f.shape().dim(0)),
                     SplitAxis::InputChannels => x.shape().c(),
                 });
             let fracs: Vec<f64> = parts.iter().map(|p| p.2).collect();
@@ -213,8 +255,7 @@ fn node_tasks<'a>(
                     kind,
                     name,
                     inputs: inputs.clone(),
-                    filter,
-                    bias,
+                    weights,
                     weight_params,
                     act,
                     dtypes: *dtypes,
@@ -310,8 +351,7 @@ pub fn evaluate_plan_with_backend(
             &node.name,
             &plan.placements[i],
             inputs,
-            weights.of(id).filter.as_ref(),
-            weights.of(id).bias.as_deref(),
+            weights,
             calib.weight_params[i],
             act,
         )?;
@@ -351,8 +391,7 @@ fn evaluate_plan_inner(
             &node.name,
             &plan.placements[i],
             inputs,
-            weights.of(id).filter.as_ref(),
-            weights.of(id).bias.as_deref(),
+            weights,
             calib.weight_params[i],
             act,
         )?;

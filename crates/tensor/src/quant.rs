@@ -215,6 +215,7 @@ impl FixedPointMultiplier {
 
     /// Applies the multiplier to an `i32` accumulator:
     /// `round(value * real_multiplier)` in pure integer arithmetic.
+    #[inline]
     pub fn apply(&self, value: i32) -> i32 {
         if self.right_shift >= 0 {
             rounding_divide_by_pot(
@@ -238,15 +239,21 @@ impl FixedPointMultiplier {
 
 /// gemmlowp's `SaturatingRoundingDoublingHighMul`: `round(a * b / 2^31)`
 /// with saturation on the single overflow case `a == b == i32::MIN`.
+#[inline]
 pub fn saturating_rounding_doubling_high_mul(a: i32, b: i32) -> i32 {
-    if a == i32::MIN && b == i32::MIN {
-        return i32::MAX;
-    }
     let ab = a as i64 * b as i64;
-    let nudge: i64 = if ab >= 0 { 1 << 30 } else { 1 - (1 << 30) };
+    // `1 << 30` for `ab >= 0`, `1 - (1 << 30)` below zero, computed
+    // without a branch: the product's sign is data-dependent, and this
+    // runs once per requantized output.
+    let nudge = (1i64 << 30) - i64::from(ab < 0) * ((1i64 << 31) - 1);
     // gemmlowp divides (truncating toward zero); an arithmetic shift would
     // floor instead and be off by one for negative products.
-    ((ab + nudge) / (1i64 << 31)) as i32
+    let high = ((ab + nudge) / (1i64 << 31)) as i32;
+    if a == i32::MIN && b == i32::MIN {
+        i32::MAX
+    } else {
+        high
+    }
 }
 
 /// gemmlowp's `RoundingDivideByPOT`: `round(x / 2^exponent)` with
@@ -255,6 +262,7 @@ pub fn saturating_rounding_doubling_high_mul(a: i32, b: i32) -> i32 {
 /// # Panics
 ///
 /// Panics if `exponent` is outside `[0, 31]`.
+#[inline]
 pub fn rounding_divide_by_pot(x: i32, exponent: i32) -> i32 {
     assert!(
         (0..=31).contains(&exponent),
@@ -271,6 +279,7 @@ pub fn rounding_divide_by_pot(x: i32, exponent: i32) -> i32 {
 
 /// Requantizes an `i32` accumulator to a `u8` output value:
 /// `clamp(zero_point + round(multiplier * acc))`.
+#[inline]
 pub fn requantize(acc: i32, multiplier: &FixedPointMultiplier, output_zero_point: u8) -> u8 {
     let scaled = multiplier.apply(acc);
     (scaled + output_zero_point as i32).clamp(0, 255) as u8
